@@ -21,6 +21,9 @@ class Event:
     Instances are returned by :meth:`Engine.schedule` and can be cancelled.
     Cancellation is O(1): the event is flagged and skipped when popped.
 
+    Heaps hold ``(time, seq, event)`` tuples: ``seq`` is unique, so
+    ordering is a C-level tuple comparison that never reaches the event.
+
     Events that land on an instant already present in the queue are
     chained onto the existing heap entry (``members``) instead of being
     pushed separately — the dominant same-delay workloads (per-peer
@@ -50,9 +53,6 @@ class Event:
         """Prevent the event from firing.  Safe to call multiple times."""
         self.cancelled = True
 
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} {state} {self.callback!r}>"
@@ -79,7 +79,7 @@ class Engine:
         self._trace_hook = None  # a repro.trace.Tracer when tracing is on
         self._named_counters = {}  # name -> itertools.count (see next_id)
         self._ambient_scope = None  # event scope applied to new schedules
-        self._scope_heaps = {}  # scope -> [Event] heap of tagged events
+        self._scope_heaps = {}  # scope -> heap of tagged (time, seq, Event)
 
     def next_id(self, name, start=0):
         """Next value of the named monotonic counter scoped to *this* engine.
@@ -121,7 +121,8 @@ class Engine:
         if not math.isfinite(delay):
             raise SimulationError(f"delay must be finite (delay={delay})")
         time = self._now + delay
-        event = Event(time, next(self._counter), callback, args)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args)
         hook = self._trace_hook
         if hook is not None and hook.current is not None:
             event.ctx = hook.current
@@ -131,7 +132,7 @@ class Engine:
             heap = self._scope_heaps.get(scope)
             if heap is None:
                 heap = self._scope_heaps[scope] = []
-            heapq.heappush(heap, event)
+            heapq.heappush(heap, (time, seq, event))
         head = self._slots.get(time)
         if head is not None:
             # Same instant already queued: chain onto its slot (O(1)).
@@ -141,7 +142,7 @@ class Engine:
                 head.members.append(event)
         else:
             self._slots[time] = event
-            heapq.heappush(self._queue, event)
+            heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(self, when, callback, *args):
@@ -185,7 +186,7 @@ class Engine:
         if scope is not None:
             heap = self._scope_heaps.get(scope)
             while heap:
-                head = heap[0]
+                head = heap[0][2]
                 if head.fired or head.cancelled:
                     heapq.heappop(heap)
                     continue
@@ -194,7 +195,7 @@ class Engine:
         queue = self._queue
         slots = self._slots
         while queue:
-            head = queue[0]
+            head = queue[0][2]
             if head.cancelled and head.members is None:
                 heapq.heappop(queue)
                 if slots.get(head.time) is head:
@@ -210,7 +211,7 @@ class Engine:
     def pending(self):
         """Number of non-cancelled events still queued."""
         total = 0
-        for event in self._queue:
+        for _time, _seq, event in self._queue:
             if not event.cancelled:
                 total += 1
             if event.members:
@@ -231,62 +232,54 @@ class Engine:
         self._stopped = False
         entry_scope = self._ambient_scope
         executed = 0
+        queue = self._queue
+        slots = self._slots
+        heappop = heapq.heappop
         try:
-            while self._queue:
+            while queue:
                 if self._stopped:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                event = self._queue[0]
-                slots = self._slots
+                event = queue[0][2]
                 if event.cancelled and event.members is None:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     if slots.get(event.time) is event:
                         del slots[event.time]
                     continue
                 if until is not None and event.time > until:
                     break
-                heapq.heappop(self._queue)
+                heappop(queue)
                 # Retire the slot before firing: same-instant events
                 # scheduled by the callbacks below open a fresh slot that
                 # pops after the remaining members (their seq is higher).
                 if slots.get(event.time) is event:
                     del slots[event.time]
                 self._now = event.time
-                if not event.cancelled:
-                    event.fired = True
-                    self._ambient_scope = event.scope
-                    hook = self._trace_hook
-                    if hook is not None and event.ctx is not None:
-                        hook.current = event.ctx
-                        event.callback(*event.args)
-                        hook.current = None
-                    else:
-                        event.callback(*event.args)
-                    executed += 1
+                # Fire the head, then its chained members in FIFO order.
                 members = event.members
-                if members:
-                    index = 0
-                    while index < len(members):
-                        if self._stopped or (
-                            max_events is not None and executed >= max_events
-                        ):
-                            self._requeue_members(members, index)
-                            break
-                        member = members[index]
-                        index += 1
-                        if member.cancelled:
-                            continue
-                        member.fired = True
-                        self._ambient_scope = member.scope
+                index = 0
+                while True:
+                    if not event.cancelled:
+                        event.fired = True
+                        self._ambient_scope = event.scope
                         hook = self._trace_hook
-                        if hook is not None and member.ctx is not None:
-                            hook.current = member.ctx
-                            member.callback(*member.args)
+                        if hook is not None and event.ctx is not None:
+                            hook.current = event.ctx
+                            event.callback(*event.args)
                             hook.current = None
                         else:
-                            member.callback(*member.args)
+                            event.callback(*event.args)
                         executed += 1
+                    if not members or index >= len(members):
+                        break
+                    if self._stopped or (
+                        max_events is not None and executed >= max_events
+                    ):
+                        self._requeue_members(members, index)
+                        break
+                    event = members[index]
+                    index += 1
         finally:
             self._running = False
             # fired events made their scope ambient; don't leak the last
@@ -301,7 +294,7 @@ class Engine:
         rest = members[start:]
         head = rest[0]
         head.members = rest[1:] if len(rest) > 1 else None
-        heapq.heappush(self._queue, head)
+        heapq.heappush(self._queue, (head.time, head.seq, head))
         if head.time not in self._slots:
             self._slots[head.time] = head
 

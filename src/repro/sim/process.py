@@ -24,6 +24,7 @@ class Process:
         self.name = name
         self.alive = True
         self._owned_events = []
+        self._compact_at = 256  # owned-list length that triggers a compaction
 
     def after(self, delay, callback, *args):
         """Schedule ``callback`` after ``delay`` seconds, owned by us."""
@@ -31,9 +32,15 @@ class Process:
             raise SimulationError(f"{self.name}: dead process cannot schedule")
         event = self.engine.schedule(delay, self._guarded, callback, args)
         self._owned_events.append(event)
-        if len(self._owned_events) > 256:
-            self._owned_events = [e for e in self._owned_events if not e.cancelled]
+        if len(self._owned_events) > self._compact_at:
+            self._compact_owned()
         return event
+
+    def _compact_owned(self):
+        """Drop spent events; the next pass waits for the list to double."""
+        live = [e for e in self._owned_events if not (e.fired or e.cancelled)]
+        self._owned_events = live
+        self._compact_at = max(256, 2 * len(live))
 
     def soon(self, callback, *args):
         """Schedule ``callback`` at the current instant, owned by us."""

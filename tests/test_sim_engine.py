@@ -420,3 +420,100 @@ def test_scoped_next_event_skips_cancelled_and_fired():
     assert engine.next_event_time("s") == 2.0
     engine.run_until_idle()
     assert engine.next_event_time("s") is None
+
+
+# ----------------------------------------------------------------------
+# (time, seq, event) heap entries
+# ----------------------------------------------------------------------
+
+def test_heap_entries_are_time_seq_keyed_one_per_instant():
+    engine = Engine()
+    order = []
+    events = [engine.schedule(t, order.append, i)
+              for i, t in enumerate([2.0, 1.0, 2.0, 1.0, 3.0, 1.0])]
+    # same-instant schedules chain onto the first event's slot, so the
+    # heap holds one (time, seq, head) entry per instant
+    assert sorted(entry[:2] for entry in engine._queue) == [
+        (1.0, events[1].seq), (2.0, events[0].seq), (3.0, events[4].seq)]
+    assert all(entry[2].time == entry[0] and entry[2].seq == entry[1]
+               for entry in engine._queue)
+    engine.run_until_idle()
+    assert order == [1, 3, 5, 0, 2, 4]
+
+
+def test_same_instant_schedule_while_firing_opens_later_slot():
+    engine = Engine()
+    order = []
+
+    def first():
+        order.append("first")
+        engine.call_soon(order.append, "soon")  # after the queued members
+        engine.schedule(0.0, order.append, "soon2")
+
+    engine.schedule(1.0, first)
+    engine.schedule(1.0, order.append, "member")
+    engine.schedule(1.0, order.append, "member2")
+    engine.run_until_idle()
+    assert order == ["first", "member", "member2", "soon", "soon2"]
+
+
+def test_scoped_next_event_time_skips_fired_head():
+    engine = Engine()
+    with engine.scoped("s"):
+        engine.schedule(1.0, lambda: None)
+        engine.schedule(2.0, lambda: None)
+        engine.schedule(2.0, lambda: None)
+    engine.schedule(1.5, lambda: None)  # unscoped: stops the run at 1.5
+    engine.run(until=1.5)
+    assert engine.next_event_time("s") == 2.0
+    assert len(engine._scope_heaps["s"]) == 2  # the fired head was dropped
+
+
+def test_scoped_next_event_time_skips_cancelled_same_instant_head():
+    engine = Engine()
+    with engine.scoped("s"):
+        head = engine.schedule(1.0, lambda: None)
+        engine.schedule(1.0, lambda: None)
+        engine.schedule(4.0, lambda: None)
+    head.cancel()
+    # the live member shares the instant; ties break on seq, not on Event
+    assert engine.next_event_time("s") == 1.0
+    engine.run(until=1.0)
+    assert engine.next_event_time("s") == 4.0
+
+
+def test_max_events_requeues_slot_members_in_order():
+    engine = Engine()
+    order = []
+    for i in range(5):
+        engine.schedule(1.0, order.append, i)
+    assert engine.run(max_events=2) == 2
+    assert order == [0, 1]
+    assert engine.pending() == 3
+    assert engine.next_event_time() == 1.0
+    # a new schedule at the interrupted instant chains after the rest
+    engine.schedule(0.0, order.append, "late")
+    assert engine.run(max_events=1) == 1
+    assert order == [0, 1, 2]
+    engine.run_until_idle()
+    assert order == [0, 1, 2, 3, 4, "late"]
+
+
+def test_stop_in_member_requeues_rest_before_fresh_slot():
+    engine = Engine()
+    order = []
+
+    def stopper():
+        order.append("stop")
+        engine.call_soon(order.append, "fresh")  # opens a later slot
+        engine.stop()
+
+    engine.schedule(1.0, order.append, "a")
+    engine.schedule(1.0, stopper)
+    engine.schedule(1.0, order.append, "b")
+    engine.schedule(1.0, order.append, "c")
+    engine.run()
+    assert order == ["a", "stop"]
+    assert engine.pending() == 3
+    engine.run_until_idle()
+    assert order == ["a", "stop", "b", "c", "fresh"]

@@ -145,3 +145,63 @@ def test_timer_rearm_after_fire():
     engine.run_until_idle()
     assert fired == [1.0, 2.0]
     assert timer.fired_count == 2
+
+
+# ----------------------------------------------------------------------
+# owned-event bookkeeping: bounded list, amortised compaction
+# ----------------------------------------------------------------------
+
+def test_periodic_task_keeps_owned_events_bounded():
+    # Fired events must leave the owned list: a 10,000-tick task holds
+    # one live event at a time, so the list never outgrows one
+    # compaction trigger.
+    engine = Engine()
+    process = Process(engine, "p")
+    sizes = []
+    task = process.every(0.001, lambda: sizes.append(len(process._owned_events)))
+    engine.run(until=10.0005)
+    assert task.ticks == 10_000
+    assert max(sizes) <= 257
+    assert len(process._owned_events) <= 257
+
+
+def test_many_live_events_compact_logarithmically(monkeypatch):
+    passes = []
+    compact = Process._compact_owned
+
+    def counting(self):
+        passes.append(len(self._owned_events))
+        compact(self)
+
+    monkeypatch.setattr(Process, "_compact_owned", counting)
+    engine = Engine()
+    process = Process(engine, "p")
+    events = [process.after(10.0, lambda: None) for _ in range(1000)]
+    # 1,000 live events: passes at 257 and 515 entries, never per call
+    assert passes == [257, 515]
+    assert len(process._owned_events) == 1000
+    # after they all fire, 1,000 more calls still cost a handful of
+    # passes: one drops the fired ones, the rest track the live growth
+    engine.run(until=10.0)
+    assert all(event.fired for event in events)
+    for _ in range(1000):
+        process.after(1.0, lambda: None)
+    assert passes[2:] == [1031, 257, 515]
+    assert len(process._owned_events) == 1000
+
+
+def test_kill_cancels_events_scheduled_after_compaction():
+    engine = Engine()
+    process = Process(engine, "p")
+    fired = []
+    early = [process.after(1.0, fired.append, "early") for _ in range(200)]
+    engine.run(until=1.0)
+    assert len(fired) == 200 and all(e.fired for e in early)
+    # 200 fired + 100 live: the 257th call compacts the fired ones away
+    late = [process.after(5.0 + i, fired.append, "late") for i in range(100)]
+    assert len(process._owned_events) < 257
+    late += [process.after(5.0, fired.append, "late") for _ in range(300)]
+    process.kill()
+    assert all(event.cancelled for event in late)
+    engine.run_until_idle()
+    assert fired.count("late") == 0
