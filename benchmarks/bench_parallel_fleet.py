@@ -29,16 +29,10 @@ covered with wide windows, versus the fixed-lookahead protocol that
 would have diced that same span into ``span / L`` barriers.  The bench
 fails if the reduction drops below 10x.  ``time_split`` breaks each
 run's wall into compute / barrier-wait / dispatch / serialization
-(with ``encode_s`` / ``decode_s`` / ``ring_copy_s`` sub-splits from the
-shared-memory transport), and ``transport`` counts cross-shard frames,
-batches and encoded bytes plus ring wrap/overflow counters.
-
-The barrier transport is exercised both ways at workers=4: the default
-shared-memory ring transport with the compact frame codec, and the
-pickle-over-pipe reference.  Both must stay bit-identical to the
-sequential run, and ``bytes_reduction_4w`` (pipe bytes / shm bytes)
-must stay >= 3x.  A fourth workload row runs the 1024-container fleet
-(16 sites x 32 pairs) sequentially for the scale ratchet.
+(pickle + unpickle of the cross-shard batches), and ``transport``
+counts cross-shard frames, batches and pickled bytes.  A fourth
+workload row runs the 1024-container fleet (16 sites x 32 pairs)
+sequentially for the scale ratchet.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_parallel_fleet.py [--quick]
@@ -70,8 +64,6 @@ WORKER_COUNTS = (1, 2, 4)
 
 #: floor on window_stats.quiet_window_reduction enforced below
 QUIET_REDUCTION_FLOOR = 10.0
-#: floor on pipe-bytes / shm-bytes at workers=4 (the compact-codec win)
-BYTES_REDUCTION_FLOOR = 3.0
 
 
 def _specs(quick=False):
@@ -111,17 +103,13 @@ def main(argv=None):
                         help="small 4-site variant for iterating on the bench")
     args = parser.parse_args(argv)
 
-    configs = [(w, "shm") for w in WORKER_COUNTS] + [(4, "pipe")]
     runs = {}
-    reference = None
-    for workers, transport in configs:
+    for workers in WORKER_COUNTS:
         result = ParallelRunner(
-            _specs(args.quick), workers=workers, transport=transport,
+            _specs(args.quick), workers=workers,
             projection_workers=WORKER_COUNTS,
         ).run(DURATION)
-        runs[(workers, transport)] = result
-        if reference is None:
-            reference = result
+        runs[workers] = result
         containers = sum(
             r["containers"] for r in result.shard_results.values()
         )
@@ -137,13 +125,12 @@ def main(argv=None):
             f"  barrier_wait={timing['barrier_wait_s']:.2f}s"
             f"  dispatch={timing['barrier_send_s']:.2f}s"
             f"  serialize={timing['serialize_s']:.2f}s"
-            f" (enc={timing['encode_s']:.2f}s dec={timing['decode_s']:.2f}s"
-            f" copy={timing['ring_copy_s']:.2f}s)"
             f"  | transport: {result.transport['frames']} frames"
             f" / {result.transport['batches']} batches"
             f" / {result.transport['bytes']} bytes"
         )
 
+    reference = runs[1]
     determinism_ok = all(
         run.shard_results == reference.shard_results
         and run.window_edges == reference.window_edges
@@ -151,13 +138,7 @@ def main(argv=None):
     )
     print(f"determinism: {'ok' if determinism_ok else 'FAILED'}"
           f" (identical shard results and window sequence across worker"
-          f" counts and transports)")
-
-    shm_bytes = runs[(4, "shm")].transport["bytes"]
-    pipe_bytes = runs[(4, "pipe")].transport["bytes"]
-    bytes_reduction = pipe_bytes / shm_bytes if shm_bytes else 0.0
-    print(f"barrier bytes @4 workers: shm={shm_bytes}"
-          f" pipe={pipe_bytes}  reduction={bytes_reduction:.2f}x")
+          f" counts)")
 
     window_stats = _window_stats(reference)
     print(
@@ -173,7 +154,7 @@ def main(argv=None):
     projected = {
         w: reference.projected_wall(w) for w in WORKER_COUNTS
     }
-    measured_speedup = runs[(1, "shm")].wall / runs[(4, "shm")].wall
+    measured_speedup = runs[1].wall / runs[4].wall
     projected_speedup = projected[1] / projected[4]
     cpu_count = os.cpu_count() or 1
     print(f"measured  speedup @4 workers: {measured_speedup:.2f}x"
@@ -207,14 +188,10 @@ def main(argv=None):
             f" projected @4 workers {fleet1k['projected_speedup_4w']:.2f}x"
         )
 
-    def _row_key(workers, transport):
-        suffix = "" if transport == "shm" else f"_{transport}"
-        return f"workers_{workers}{suffix}"
-
     total_events = reference.executed
     results = {
         "fleet_events_seq": {
-            "ops_per_sec": round(total_events / runs[(1, "shm")].wall, 1),
+            "ops_per_sec": round(total_events / runs[1].wall, 1),
         },
     }
     if fleet1k is not None:
@@ -235,26 +212,24 @@ def main(argv=None):
         },
         "cpu_count": cpu_count,
         "results": results,
-        "wall": {_row_key(w, t): round(runs[(w, t)].wall, 3)
-                 for w, t in configs},
-        "busy": {f"workers_{w}": round(sum(runs[(w, "shm")].busy.values()), 3)
+        "wall": {f"workers_{w}": round(runs[w].wall, 3)
+                 for w in WORKER_COUNTS},
+        "busy": {f"workers_{w}": round(sum(runs[w].busy.values()), 3)
                  for w in WORKER_COUNTS},
         "projected_wall": {f"workers_{w}": round(projected[w], 3)
                            for w in WORKER_COUNTS},
         "window_stats": window_stats,
         "time_split": {
-            _row_key(w, t): {
-                key: round(value, 4)
-                for key, value in runs[(w, t)].timing.items()
+            f"workers_{w}": {
+                key: round(value, 4) for key, value in runs[w].timing.items()
             }
-            for w, t in configs
+            for w in WORKER_COUNTS
         },
         "transport": {
-            _row_key(w, t): dict(runs[(w, t)].transport) for w, t in configs
+            f"workers_{w}": dict(runs[w].transport) for w in WORKER_COUNTS
         },
         "measured_speedup_4w": round(measured_speedup, 2),
         "projected_speedup_4w": round(projected_speedup, 2),
-        "bytes_reduction_4w": round(bytes_reduction, 2),
         "determinism_ok": determinism_ok,
     }
     if fleet1k is not None:
@@ -271,10 +246,6 @@ def main(argv=None):
             f" {window_stats['quiet_window_reduction']:.1f}x"
             f" < {QUIET_REDUCTION_FLOOR:.0f}x"
         )
-        return 1
-    if bytes_reduction < BYTES_REDUCTION_FLOOR:
-        print(f"bytes reduction FAILED: {bytes_reduction:.2f}x"
-              f" < {BYTES_REDUCTION_FLOOR:.0f}x")
         return 1
     floor = measured_speedup if cpu_count >= 4 else projected_speedup
     if floor < 2.0:

@@ -93,21 +93,10 @@ def _validate_parallel(fresh, baseline):
         )
     else:
         print(f"  quiet-window reduction: {quiet:.1f}x  ok")
-    reduction = fresh.get("bytes_reduction_4w")
-    if reduction is None:
-        failures.append("bytes_reduction_4w missing from "
-                        "BENCH_parallel.json (re-run make bench-parallel)")
-    elif reduction < 3.0:
-        failures.append(
-            f"barrier bytes: shm codec only {reduction:.2f}x smaller than "
-            f"the pickle-over-pipe reference (< 3x floor)"
-        )
-    else:
-        print(f"  barrier bytes reduction: {reduction:.2f}x  ok")
     # serialization and dispatch must stay a sliver of the workers=4
-    # wall: the shm transport's whole point is that barrier traffic is
-    # cheap.  Absolute floors keep the ratio meaningful on fast hosts
-    # where both sides of it are noise-sized.
+    # wall: pickle over the pipes is the only barrier transport because
+    # this traffic is cheap.  Absolute floors keep the ratio meaningful
+    # on fast hosts where both sides of it are noise-sized.
     wall = fresh.get("wall", {}).get("workers_4", 0.0)
     split = fresh.get("time_split", {}).get("workers_4", {})
     serialize = split.get("serialize_s")

@@ -15,14 +15,13 @@ comparable; use this to aim optimization work before touching code.
 
 ``--parallel`` (``make profile-parallel``) restricts the run to the
 parallel fleet workload and prints the coordinator's timing split
-(compute vs barrier-wait vs dispatch vs serialization, with the
-serialization side broken out into frame encode, decode, and
-shared-memory ring-copy time) alongside the profile — the same split
-``make bench-parallel`` records under ``time_split`` in
+(compute vs barrier-wait vs dispatch vs serialization, the last being
+pickle + unpickle of the cross-shard batches) alongside the profile —
+the same split ``make bench-parallel`` records under ``time_split`` in
 BENCH_parallel.json — so window-protocol overhead can be attributed
-before reading a single profiler row.  Because the transport split is
-all zeros at workers=1, ``--parallel`` follows the profiled run with an
-unprofiled workers=2 shared-memory run and prints its split too.
+before reading a single profiler row.  Because the serialization split
+is all zeros at workers=1, ``--parallel`` follows the profiled run with
+an unprofiled workers=2 run and prints its split too.
 
 Usage:
     PYTHONPATH=src python benchmarks/profile_hotspots.py [--top N]
@@ -73,18 +72,11 @@ def _print_timing_split(result):
           f" ({transport['kind']}, {result.windows} windows,"
           f" wall {wall:.2f}s):")
     for key in ("compute_s", "barrier_wait_s", "barrier_send_s",
-                "serialize_s", "rebalance_s"):
+                "serialize_s"):
         value = timing.get(key, 0.0)
         print(f"  {key:16s} {value:8.3f}s  ({value / wall:5.1%} of wall)")
-    # frame codec encode/decode (these two sum to serialize_s) plus the
-    # raw memcpy into / out of the shared-memory rings
-    for key in ("encode_s", "decode_s", "ring_copy_s"):
-        value = timing.get(key, 0.0)
-        print(f"    {key:14s} {value:8.3f}s  ({value / wall:5.1%} of wall)")
     print(f"  transport        {transport['frames']} frames"
-          f" / {transport['batches']} batches / {transport['bytes']} bytes"
-          f" / {transport.get('ring_wraps', 0)} ring wraps"
-          f" / {transport.get('overflow_batches', 0)} overflow batches")
+          f" / {transport['batches']} batches / {transport['bytes']} bytes")
 
 
 def run_profile(title, workload, top):
@@ -110,7 +102,7 @@ def main(argv=None):
         result = run_profile("parallel fleet (4 sites, workers=1)",
                              profile_parallel_fleet, args.top)
         _print_timing_split(result)
-        # the transport split only has content with real worker
+        # the serialization split only has content with real worker
         # processes; run workers=2 outside the profiler (child-process
         # time is invisible to cProfile anyway)
         _print_timing_split(profile_parallel_fleet(workers=2))

@@ -5,6 +5,10 @@ exchanging a counter over a cross-shard link.  Builders are module-level
 functions so the spawn-based process mode can pickle them by reference.
 """
 
+import multiprocessing
+import os
+import pickle
+
 import pytest
 
 from repro.sim import Engine, Network, SimulationError
@@ -67,6 +71,16 @@ def ping_specs(latency=LATENCY):
             links=[BoundaryLink("10.0.0.2", "10.0.0.1", "A", latency)],
         ),
     ]
+
+
+def _shm_entries():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def assert_nothing_left_behind(shm_before):
+    """No worker process outlives its run, and no /dev/shm entry is new."""
+    assert multiprocessing.active_children() == []
+    assert _shm_entries() <= shm_before
 
 
 # ----------------------------------------------------------------------
@@ -294,12 +308,17 @@ def test_projection_workers_override():
 
 
 def test_process_mode_matches_local_mode():
+    shm_before = _shm_entries()
     local = ParallelRunner(ping_specs(), workers=1).run(1.0)
     spawned = ParallelRunner(ping_specs(), workers=2).run(1.0)
     assert spawned.workers == 2
     assert local.shard_results == spawned.shard_results
+    assert local.window_edges == spawned.window_edges
+    assert spawned.transport["kind"] == "pipe"
     assert spawned.transport["in_process"] is False
+    assert spawned.transport["frames"] == local.transport["frames"]
     assert spawned.transport["bytes"] > 0
+    assert_nothing_left_behind(shm_before)
 
 
 def test_local_mode_propagates_builder_errors():
@@ -362,8 +381,30 @@ def test_worker_crash_mid_window_surfaces_traceback_without_hanging():
     # the worker catches the exception inside its window loop and ships
     # the traceback; the coordinator re-raises promptly (no deadlock on
     # the barrier) and the finally-path closes every worker
+    shm_before = _shm_entries()
     with pytest.raises(RuntimeError, match="kaboom mid-window"):
         ParallelRunner(crash_pair_specs(), workers=2).run(2.0)
+    assert_nothing_left_behind(shm_before)
+
+
+#: module-level, yet unpicklable by reference: the spawn context cannot
+#: ship a builder named ``<lambda>`` to a child process
+UNPICKLABLE_BUILDER = lambda shard_id, params, boundary: None  # noqa: E731
+
+
+def test_failed_spawn_closes_already_started_workers():
+    # LPT places the heavier shard on worker 0, which starts fine; the
+    # lighter one's builder cannot be pickled, so worker 1 fails to
+    # start — and worker 0 must not outlive the raise
+    specs = [
+        ShardSpec("a", build_ping, {"addr": "10.0.0.1", "peer": "10.0.0.9"},
+                  weight=2.0),
+        ShardSpec("b", UNPICKLABLE_BUILDER, weight=1.0),
+    ]
+    shm_before = _shm_entries()
+    with pytest.raises(pickle.PicklingError):
+        ParallelRunner(specs, workers=2).run(1.0)
+    assert_nothing_left_behind(shm_before)
 
 
 def build_exit_hard(shard_id, params, boundary):
